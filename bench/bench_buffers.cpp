@@ -8,8 +8,8 @@
 #include "core/buffer.hpp"
 #include "core/channel.hpp"
 #include "core/queue.hpp"
+#include "util/json.hpp"
 #include "util/timer.hpp"
-#include "util/trace.hpp"
 
 #include <benchmark/benchmark.h>
 

@@ -3,9 +3,13 @@
 // single-consumer implementation.
 //
 // A stage conveys a buffer by pushing into the channel to its successor
-// and accepts by popping the channel from its predecessor; an empty pop
-// blocks (or, under the task executor, suspends the stage's task), which
-// is what lets other stages overlap work with high-latency operations.
+// and accepts by popping the channel from its predecessor.  The stage
+// tasks (core/executor.cpp) use the non-blocking try_push/try_pop and
+// yield on a full or empty channel until the runtime's wakeup hook
+// reports that it moved; custom stages, whose StageContext blocks, and
+// teardown parking use the blocking push/pop.  Either way an idle stage
+// costs no CPU, which is what lets other stages overlap work with
+// high-latency operations.
 //
 // Channels carry *tokens*, not raw buffers, because the termination
 // protocol needs two control messages besides data:
@@ -111,8 +115,8 @@ class Channel {
   /// no extra acquisition.
   virtual bool push(Token t, std::size_t* depth_after = nullptr) = 0;
 
-  /// Non-blocking push; the task executor re-enqueues the stage instead
-  /// of sleeping when this returns kFull.
+  /// Non-blocking push; a stage task yields instead of sleeping when
+  /// this returns kFull.
   virtual PushResult try_push(Token t, std::size_t* depth_after = nullptr) = 0;
 
   /// Blocking pop; returns an abort token once the channel is aborted.

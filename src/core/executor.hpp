@@ -1,33 +1,38 @@
 // The executor layer: how planned workers become running code.
 //
 // GraphRuntime owns the run's *state* — channels, buffer pools, stats,
-// the stall watchdog, abort propagation — and delegates the *worker
-// lifecycle* to an Executor.  Two backends exist:
+// the stall watchdog, abort propagation.  The stage rules live in one
+// place, executor.cpp: every source, sink, map and replicated-map worker
+// is a resumable task (SourceTask, SinkTask, MapTask, ReplMapTask) whose
+// resume() runs until its accept would find an empty channel, its convey
+// a full one, or a replica's caboose must wait for in-flight siblings,
+// and then yields.  The QueueNotifier hook wakes a yielded task when the
+// channel (or sibling) it waits on moves.  What differs between the two
+// executors is only where the tasks run:
 //
-//  * ThreadPerStageExecutor (executor_threads.cpp) — the reference
-//    backend and FG's historical model: one OS thread per planned worker
-//    (plus replicas), each running a blocking accept/convey loop.  Simple
-//    and fair, but a graph with hundreds of pipelines oversubscribes the
-//    machine.
+//  * kThreadPerStage — FG's historical model: one OS thread per task
+//    (so one per planned worker, plus replicas).  The thread calls
+//    resume() in a loop and sleeps on the task's state word while
+//    yielded.  Simple and fair, but a graph with hundreds of pipelines
+//    oversubscribes the machine.
 //
-//  * TaskExecutor (task_executor.cpp) — stage bodies run as resumable
-//    tasks on a fixed pool of N workers with Chase–Lev work-stealing
-//    deques.  A stage whose accept or convey would block is re-enqueued
-//    when the channel drains instead of sleeping a dedicated thread, so
-//    thousands of pipelines share N cores.  Custom stages keep their
-//    blocking StageContext contract and therefore still get a dedicated
-//    thread each; sources, sinks, map and replicated-map stages are
-//    scheduled as tasks.
+//  * kTasks — a fixed pool of N workers with Chase–Lev work-stealing
+//    deques; a woken task is pushed onto a deque instead of waking its
+//    own thread, so thousands of pipelines share N cores.
+//
+// Custom stages keep their blocking StageContext contract and therefore
+// get a dedicated thread each under both executors.
 //
 // Selection: RuntimeOptions on the graph/runtime, overridable from the
 // environment (FG_EXECUTOR=threads|tasks, FG_TASK_WORKERS=N,
 // FG_CHANNELS=auto|mpmc) so a whole test suite can be replayed under
-// either backend without touching code — tools/ci.sh does exactly that.
+// either executor without touching code — tools/ci.sh does exactly that.
+// The variables are parsed strictly: an unknown name or a worker count
+// outside [1, 65536] throws std::invalid_argument naming the variable.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 namespace fg::util {
 class ByteBudget;
@@ -35,9 +40,7 @@ class ByteBudget;
 
 namespace fg {
 
-class GraphRuntime;
-
-/// Which worker-lifecycle backend a run uses.  kAuto resolves from the
+/// Where a run places its stage tasks.  kAuto resolves from the
 /// FG_EXECUTOR environment variable (default: thread-per-stage).
 enum class ExecutorKind : std::uint8_t { kAuto, kThreadPerStage, kTasks };
 
@@ -51,13 +54,14 @@ enum class ChannelPolicy : std::uint8_t { kAuto, kMpmcOnly };
 struct RuntimeOptions {
   ExecutorKind executor{ExecutorKind::kAuto};
   /// Task-pool width; 0 = FG_TASK_WORKERS or hardware_concurrency().
-  /// Ignored by the thread-per-stage backend.
+  /// Ignored by the thread-per-stage executor.
   std::size_t task_workers{0};
   ChannelPolicy channels{ChannelPolicy::kAuto};
   /// Emit per-worker `task-slice` spans from the task pool into extra
   /// `tasks:wN` trace tracks (one per pool worker).  Off by default so
   /// the default trace layout is identical under both executors; also
-  /// enabled by FG_TASK_SPANS=1.  Ignored by the thread backend.
+  /// enabled by FG_TASK_SPANS=1.  Ignored by the thread-per-stage
+  /// executor.
   bool task_spans{false};
   /// Buffer-pool byte budget (util/budget.hpp).  When set, every run
   /// charges its pools' full allocation (primary + auxiliary blocks)
@@ -68,40 +72,21 @@ struct RuntimeOptions {
   util::ByteBudget* pool_budget{nullptr};
 };
 
-/// Resolve kAuto against the environment (FG_EXECUTOR).
-ExecutorKind resolve_executor(ExecutorKind k) noexcept;
-/// Resolve kAuto against the environment (FG_CHANNELS).
-ChannelPolicy resolve_channels(ChannelPolicy p) noexcept;
-/// Resolve a zero worker count against FG_TASK_WORKERS, then hardware
-/// concurrency (minimum 2).
-std::size_t resolve_task_workers(std::size_t n) noexcept;
+/// Resolve kAuto against the environment (FG_EXECUTOR; unset or empty
+/// means thread-per-stage).  Throws std::invalid_argument on any other
+/// name than "threads" or "tasks".
+ExecutorKind resolve_executor(ExecutorKind k);
+/// Resolve kAuto against the environment (FG_CHANNELS; "auto" or
+/// "mpmc", unset or empty means kAuto).  Throws std::invalid_argument on
+/// any other name.
+ChannelPolicy resolve_channels(ChannelPolicy p);
+/// Resolve a zero worker count against FG_TASK_WORKERS (an integer in
+/// [1, 65536], else std::invalid_argument), then hardware concurrency
+/// (minimum 2).
+std::size_t resolve_task_workers(std::size_t n);
 /// Resolve the task-span opt-in against the environment (FG_TASK_SPANS).
 bool resolve_task_spans(bool enabled) noexcept;
 
 const char* to_string(ExecutorKind k) noexcept;
-
-/// Worker-lifecycle backend.  An executor is single-use, created by
-/// GraphRuntime::run() after the watchdog is armed; execute() returns
-/// only when every worker has finished (threads joined, tasks drained).
-/// Errors are recorded on the runtime (record_error + abort_all), which
-/// rethrows after execute() returns.
-class Executor {
- public:
-  virtual ~Executor();
-
-  Executor(const Executor&) = delete;
-  Executor& operator=(const Executor&) = delete;
-
-  virtual void execute() = 0;
-  virtual const char* name() const noexcept = 0;
-
- protected:
-  explicit Executor(GraphRuntime& rt) : rt_(rt) {}
-  GraphRuntime& rt_;
-};
-
-std::unique_ptr<Executor> make_thread_per_stage_executor(GraphRuntime& rt);
-std::unique_ptr<Executor> make_task_executor(GraphRuntime& rt,
-                                             std::size_t workers);
 
 }  // namespace fg

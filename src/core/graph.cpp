@@ -13,7 +13,6 @@ struct PipelineGraph::Impl {
   std::vector<std::unique_ptr<Pipeline>> pipelines;
   std::unique_ptr<ExecutionPlan> plan;   // cached after first build
   std::unique_ptr<GraphRuntime> last;    // most recent run (stats live here)
-  EventSink* sink{nullptr};
   obs::Session* obs{nullptr};
   std::size_t runs_completed{0};
   util::Duration watchdog_window{util::Duration::zero()};
@@ -48,10 +47,6 @@ std::size_t PipelineGraph::planned_threads() const {
   return impl_->ensure_plan().thread_count();
 }
 
-void PipelineGraph::set_event_sink(EventSink* sink) {
-  impl_->sink = sink;
-}
-
 void PipelineGraph::set_observability(obs::Session* session) {
   impl_->obs = session;
 }
@@ -72,8 +67,8 @@ void PipelineGraph::run() {
   const ExecutionPlan& plan = impl_->ensure_plan();
   // Fresh queues, pools, and statistics every run; replacing the previous
   // runtime is what resets stats between runs.
-  impl_->last = std::make_unique<GraphRuntime>(plan, impl_->sink,
-                                               impl_->obs, impl_->options);
+  impl_->last =
+      std::make_unique<GraphRuntime>(plan, impl_->obs, impl_->options);
   impl_->last->set_watchdog(impl_->watchdog_window);
   if (impl_->abort_hook) impl_->last->set_abort_hook(impl_->abort_hook);
   impl_->last->run();  // on throw, `last` keeps the partial stats

@@ -7,11 +7,12 @@
 //                                  wiring, and lays out the worker/queue
 //                                  topology as immutable data;
 //  * runtime  (core/runtime.hpp) — GraphRuntime materializes fresh queues
-//                                  and buffer pools from the plan, spawns
-//                                  and joins the worker threads, and
+//                                  and buffer pools from the plan, runs
+//                                  every stage to completion, and
 //                                  handles abort/unwind;
-//  * events   (core/events.hpp)  — instrumentation hooks feeding
-//                                  StageStats and the JSON stats export.
+//  * stats    (core/stage_stats.hpp) — StageStats and RunStats, the
+//                                  always-on counters and their JSON
+//                                  export.
 //
 // The graph detects the three pipeline relationships the paper describes:
 //
@@ -37,7 +38,6 @@
 // server can replay the same heavy topology without rebuilding it.
 #pragma once
 
-#include "core/events.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/queue.hpp"
@@ -78,11 +78,6 @@ class PipelineGraph {
   /// before or after run(); the virtual-stage benches assert on this.
   std::size_t planned_threads() const;
 
-  /// Install an observer receiving per-stage events during subsequent
-  /// runs; pass nullptr to detach.  The sink must be thread-safe and must
-  /// outlive every run() it observes.
-  void set_event_sink(EventSink* sink);
-
   /// Attach an observability session: subsequent runs emit spans into
   /// per-thread lock-free rings (stage work, accept/convey waits, queue
   /// depths) and record round counts/latencies in the session's metrics
@@ -91,12 +86,13 @@ class PipelineGraph {
   /// share one session.
   void set_observability(obs::Session* session);
 
-  /// Pick the execution backend for subsequent runs: thread-per-stage or
+  /// Pick the stage placement for subsequent runs: a thread per stage or
   /// the work-stealing task pool, and the channel policy (kMpmcOnly
   /// forces the blocking MPMC queue even where the plan proved SPSC
   /// eligibility).  Defaults resolve from the environment (FG_EXECUTOR,
   /// FG_TASK_WORKERS, FG_CHANNELS) so whole suites can be replayed under
-  /// either backend without code changes.
+  /// either placement without code changes; a malformed value makes
+  /// run() throw std::invalid_argument naming the variable.
   void set_runtime_options(RuntimeOptions options);
 
   /// Arm a stall watchdog on subsequent runs: if no worker completes a

@@ -1,24 +1,78 @@
-// Runtime construction, run orchestration, and reporting.  The worker
-// loops live in runtime_loops.cpp; shared state in runtime_impl.hpp.
+// Runtime construction, option resolution, run orchestration, and
+// reporting.  The stage tasks and their placements live in executor.cpp;
+// shared state in runtime_impl.hpp.
 #include "core/runtime_impl.hpp"
+#include "util/json.hpp"
+#include "util/parse.hpp"
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 
 namespace fg {
 
-const char* to_string(StageEventKind k) noexcept {
+const char* to_string(ExecutorKind k) noexcept {
   switch (k) {
-    case StageEventKind::kBufferAccepted: return "accept";
-    case StageEventKind::kBufferConveyed: return "convey";
-    case StageEventKind::kBufferRecycled: return "recycle";
-    case StageEventKind::kCabooseForwarded: return "caboose";
-    case StageEventKind::kPipelineClosed: return "close";
-    case StageEventKind::kQueuePush: return "qpush";
-    case StageEventKind::kQueuePop: return "qpop";
+    case ExecutorKind::kAuto: return "auto";
+    case ExecutorKind::kThreadPerStage: return "threads";
+    case ExecutorKind::kTasks: return "tasks";
   }
   return "?";
+}
+
+namespace {
+
+/// The variable's value, or nullptr when it is unset or empty.
+const char* env_value(const char* name) {
+  const char* v = std::getenv(name);
+  return v != nullptr && v[0] != '\0' ? v : nullptr;
+}
+
+[[noreturn]] void bad_env(const char* name, const char* expected,
+                          std::string_view got) {
+  throw std::invalid_argument(std::string(name) + ": expected " + expected +
+                              ", got '" + std::string(got) + "'");
+}
+
+}  // namespace
+
+ExecutorKind resolve_executor(ExecutorKind k) {
+  if (k != ExecutorKind::kAuto) return k;
+  const char* env = env_value("FG_EXECUTOR");
+  if (env == nullptr) return ExecutorKind::kThreadPerStage;
+  const std::string_view v(env);
+  if (v == "threads") return ExecutorKind::kThreadPerStage;
+  if (v == "tasks") return ExecutorKind::kTasks;
+  bad_env("FG_EXECUTOR", "'threads' or 'tasks'", v);
+}
+
+ChannelPolicy resolve_channels(ChannelPolicy p) {
+  if (p != ChannelPolicy::kAuto) return p;
+  const char* env = env_value("FG_CHANNELS");
+  if (env == nullptr) return ChannelPolicy::kAuto;
+  const std::string_view v(env);
+  if (v == "auto") return ChannelPolicy::kAuto;
+  if (v == "mpmc") return ChannelPolicy::kMpmcOnly;
+  bad_env("FG_CHANNELS", "'auto' or 'mpmc'", v);
+}
+
+std::size_t resolve_task_workers(std::size_t n) {
+  if (n != 0) return n;
+  if (const char* env = env_value("FG_TASK_WORKERS")) {
+    // The same bound fgsort's --workers enforces.
+    return static_cast<std::size_t>(
+        util::parse_u64(env, "FG_TASK_WORKERS", 1, 65536));
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw >= 2 ? hw : 2;
+}
+
+bool resolve_task_spans(bool enabled) noexcept {
+  if (enabled) return true;
+  const char* env = std::getenv("FG_TASK_SPANS");
+  return env != nullptr && env[0] != '\0' && std::string(env) != "0";
 }
 
 const char* to_string(ChannelKind k) noexcept {
@@ -33,9 +87,9 @@ const char* to_string(ChannelKind k) noexcept {
 // Construction: materialize queues, pools, and workers from the plan
 // ---------------------------------------------------------------------------
 
-GraphRuntime::GraphRuntime(const ExecutionPlan& plan, EventSink* sink,
-                           obs::Session* obs, RuntimeOptions options)
-    : plan_(&plan), sink_(sink), obs_(obs) {
+GraphRuntime::GraphRuntime(const ExecutionPlan& plan, obs::Session* obs,
+                           RuntimeOptions options)
+    : plan_(&plan), obs_(obs) {
   executor_kind_ = resolve_executor(options.executor);
   executor_name_ = to_string(executor_kind_);
   task_workers_ = resolve_task_workers(options.task_workers);
@@ -116,18 +170,9 @@ GraphRuntime::GraphRuntime(const ExecutionPlan& plan, EventSink* sink,
   }
 }
 
-GraphRuntime::~GraphRuntime() {
-  // run() always joins it, but guard against a runtime destroyed after a
-  // construction-time throw in run() itself.
-  if (watchdog_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(wd_mutex_);
-      wd_stop_ = true;
-    }
-    wd_cv_.notify_all();
-    watchdog_thread_.join();
-  }
-}
+// run() always stops it, but guard against a runtime destroyed after a
+// throw in run() itself.
+GraphRuntime::~GraphRuntime() { stop_watchdog(); }
 
 void GraphRuntime::record_error(std::exception_ptr e) {
   std::lock_guard<std::mutex> lock(err_mutex_);
@@ -136,15 +181,17 @@ void GraphRuntime::record_error(std::exception_ptr e) {
 
 void GraphRuntime::abort_all() {
   for (auto& q : queues_) q->abort();
-  // Parked tasks are not blocked in any channel op; the task executor
-  // must wake them so they observe the abort tokens and unwind.
+  // Yielded tasks are not blocked in any channel op; the executor must
+  // wake them so they observe the abort tokens and unwind.
   if (notifier_ != nullptr) notifier_->on_abort();
 }
 
-void GraphRuntime::emit_queue(StageEventKind kind, const Channel* q,
-                              PipelineId pid) {
-  if (!sink_) return;
-  sink_->on_event(StageEvent{kind, queue_index_.at(q), pid, q->size()});
+void GraphRuntime::fail(std::exception_ptr e) {
+  record_error(e);
+  abort_all();
+  // Queue aborts cannot wake stages blocked in external substrates (e.g.
+  // a fabric recv); the hook tears those down too.
+  if (abort_hook_) abort_hook_();
 }
 
 // ---------------------------------------------------------------------------
@@ -288,44 +335,25 @@ void GraphRuntime::watchdog_loop() {
       continue;
     }
     if (now - last_change >= watchdog_window_) {
-      record_error(std::make_exception_ptr(PipelineStalled(stall_report())));
-      abort_all();
-      if (abort_hook_) abort_hook_();
+      fail(std::make_exception_ptr(PipelineStalled(stall_report())));
       return;  // one shot; the abort unwinds every worker
     }
   }
 }
 
-void GraphRuntime::worker_entry(RunWorker* w) {
-  // Each OS thread gets its own span ring (replicas of one worker get
-  // one each — the ring is single-writer by construction) and publishes
-  // it thread-locally so the substrates (disk, fabric) can emit into the
-  // same track without plumbing.
-  obs::SpanRing* ring = nullptr;
-  if (spans_ != nullptr) ring = &spans_->acquire(w->spec->label);
-  obs::RingScope ambient(ring);
-  try {
-    switch (w->spec->kind) {
-      case WorkerKind::kSource: source_loop(*w); break;
-      case WorkerKind::kSink: sink_loop(*w); break;
-      case WorkerKind::kMap:
-        if (w->spec->replicas > 1) {
-          map_loop_replicated(*w);
-        } else {
-          map_loop(*w);
-        }
-        break;
-      case WorkerKind::kCustom: custom_loop(*w); break;
-    }
-  } catch (const AbortSignal&) {
-    // unwinding after another worker's failure: nothing to record
-  } catch (...) {
-    record_error(std::current_exception());
-    abort_all();
-    // Queue aborts cannot wake siblings blocked in external substrates
-    // (e.g. a fabric recv); the hook tears those down too.
-    if (abort_hook_) abort_hook_();
+void GraphRuntime::start_watchdog() {
+  if (watchdog_window_ > util::Duration::zero())
+    watchdog_thread_ = std::thread([this] { watchdog_loop(); });
+}
+
+void GraphRuntime::stop_watchdog() {
+  if (!watchdog_thread_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(wd_mutex_);
+    wd_stop_ = true;
   }
+  wd_cv_.notify_all();
+  watchdog_thread_.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -340,22 +368,7 @@ void GraphRuntime::run() {
   }
   ran_ = true;
   util::Stopwatch sw;
-  std::unique_ptr<Executor> executor =
-      executor_kind_ == ExecutorKind::kTasks
-          ? make_task_executor(*this, task_workers_)
-          : make_thread_per_stage_executor(*this);
-  if (watchdog_window_ > util::Duration::zero()) {
-    watchdog_thread_ = std::thread([this] { watchdog_loop(); });
-  }
-  executor->execute();
-  if (watchdog_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(wd_mutex_);
-      wd_stop_ = true;
-    }
-    wd_cv_.notify_all();
-    watchdog_thread_.join();
-  }
+  execute();
   wall_seconds_ = sw.elapsed_seconds();
   if (first_error_) std::rethrow_exception(first_error_);
 }

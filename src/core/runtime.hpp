@@ -1,27 +1,27 @@
 // The runtime layer: executes one ExecutionPlan.
 //
 // A GraphRuntime is single-use: it instantiates *fresh* queues and buffer
-// pools from the plan, spawns one thread per planned worker (plus
-// replicas), runs the source/sink/map/custom loops to completion, and
-// joins.  PipelineGraph::run() creates a new runtime per call — that is
-// what makes graphs rerunnable: the plan is cached and immutable, all
-// mutable state lives here.
+// pools from the plan, runs every planned worker to completion on the
+// executor the options select (core/executor.hpp: the same stage tasks,
+// placed on a thread each or on a work-stealing pool), and joins.
+// PipelineGraph::run() creates a new runtime per call — that is what
+// makes graphs rerunnable: the plan is cached and immutable, all mutable
+// state lives here.
 //
 // Error handling: if any stage throws, the runtime aborts every queue so
 // all workers unwind promptly, returns in-flight buffers to their source
 // queues (best effort — an aborted queue drops the push, but the pool
 // still owns every buffer), and rethrows the first exception from run().
 //
-// Instrumentation: the loops feed StageStats unconditionally and forward
-// StageEvents to an optional EventSink (see core/events.hpp).  When an
-// obs::Session is attached, each worker thread additionally writes
-// begin/end spans into a private lock-free ring (stage work, accept- and
+// Instrumentation: the stage tasks feed StageStats and the queues'
+// QueueStats unconditionally (see core/stage_stats.hpp).  When an
+// obs::Session is attached, each task additionally writes begin/end spans
+// into its own stage-labelled lock-free ring (stage work, accept- and
 // convey-waits, queue-depth samples), the sink records round latencies,
 // and the rings are merged after the join for Chrome-trace export — the
 // hot path touches no lock and allocates nothing.
 #pragma once
 
-#include "core/events.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "core/queue.hpp"
@@ -76,10 +76,9 @@ struct BufferAudit {
   }
 };
 
-/// Hook the task executor installs so that queue traffic produced by
-/// threads it does not schedule (custom-stage threads, teardown parking)
-/// still wakes the tasks waiting on the affected channel.  Null under the
-/// thread-per-stage backend — the channels' own blocking does the waking.
+/// Hook the executor installs so that every queue operation — by a task,
+/// a custom-stage thread, or teardown parking — wakes the tasks waiting on
+/// the affected channel.  Null only outside run().
 class QueueNotifier {
  public:
   virtual ~QueueNotifier() = default;
@@ -93,19 +92,21 @@ class QueueNotifier {
 class GraphRuntime {
  public:
   /// Materialize channels and pools for `plan`.  The plan must outlive
-  /// the runtime; `sink` and `obs` may be null.  With a session attached
-  /// the run contributes spans and metrics to it (see class comment).
-  /// `options` picks the executor backend and channel policy (kAuto
-  /// resolves from the environment).
-  GraphRuntime(const ExecutionPlan& plan, EventSink* sink,
-               obs::Session* obs = nullptr, RuntimeOptions options = {});
+  /// the runtime; `obs` may be null.  With a session attached the run
+  /// contributes spans and metrics to it (see class comment).  `options`
+  /// picks the executor and channel policy; kAuto resolves from the
+  /// environment, and a malformed variable throws std::invalid_argument
+  /// naming it before anything is allocated.
+  explicit GraphRuntime(const ExecutionPlan& plan,
+                        obs::Session* obs = nullptr,
+                        RuntimeOptions options = {});
   ~GraphRuntime();
 
   GraphRuntime(const GraphRuntime&) = delete;
   GraphRuntime& operator=(const GraphRuntime&) = delete;
 
-  /// Spawn workers, execute to completion, join, rethrow the first stage
-  /// exception.  Single-use.
+  /// Start the stage threads, execute to completion, join, rethrow the
+  /// first stage exception.  Single-use.
   void run();
 
   /// Arm the stall watchdog: if no worker completes a queue operation for
@@ -136,7 +137,7 @@ class GraphRuntime {
 
   double wall_seconds() const noexcept { return wall_seconds_; }
 
-  /// Name of the executor backend this runtime resolved to ("threads" or
+  /// Name of the executor this runtime resolved to ("threads" or
   /// "tasks"); fixed at construction.
   const char* executor_name() const noexcept { return executor_name_; }
 
@@ -144,47 +145,40 @@ class GraphRuntime {
   struct RunWorker;
   class Context;
   friend class Executor;
-  friend class ThreadPerStageExecutor;
-  friend class TaskExecutor;
 
-  void worker_entry(RunWorker* w);
-  void source_loop(RunWorker& w);
-  void sink_loop(RunWorker& w);
-  void map_loop(RunWorker& w);
-  void map_loop_replicated(RunWorker& w);
-  void custom_loop(RunWorker& w);
+  /// Run every planned worker to completion (defined in executor.cpp).
+  void execute();
+  /// A custom stage's thread: its StageContext, error capture, caboose
+  /// flush (defined in custom_stage.cpp).
+  void run_custom(RunWorker& w);
 
   Channel* source_in(PipelineId pid) const {
     return queues_[plan_->source_in(pid)].get();
   }
   void record_error(std::exception_ptr e);
   void abort_all();
+  /// Record `e` and tear the run down: abort every queue and run the
+  /// abort hook for stages blocked outside them.
+  void fail(std::exception_ptr e);
   void park_token(RunWorker& w, Token t);
 
   /// Queue ops routed through these wrappers publish which queue the
   /// worker is blocked on (for the stall report), bump the progress
   /// counter the watchdog monitors, and (non-blocking variants included)
-  /// feed the task executor's wakeup hook.
+  /// feed the executor's wakeup hook.
   Token traced_pop(RunWorker& w, Channel* q);
   bool traced_push(RunWorker& w, Channel* q, Token t);
-  /// Non-blocking variants for the task executor: identical tracing and
-  /// accounting, but kFull/empty yields back to the scheduler instead of
-  /// sleeping the thread.
+  /// Non-blocking variants for the stage tasks: identical tracing and
+  /// accounting, but kFull/empty makes the task yield instead of
+  /// sleeping in the channel.
   bool traced_try_pop(RunWorker& w, Channel* q, Token& out);
   PushResult traced_try_push(RunWorker& w, Channel* q, Token t);
+  void start_watchdog();
+  void stop_watchdog();
   void watchdog_loop();
   std::string stall_report() const;
 
-  void emit(StageEventKind kind, std::uint32_t worker, PipelineId pid,
-            std::size_t depth = 0) {
-    if (sink_) sink_->on_event(StageEvent{kind, worker, pid, depth});
-  }
-  /// Occupancy sample after a queue operation; only taken when a sink is
-  /// installed (costs one extra lock).
-  void emit_queue(StageEventKind kind, const Channel* q, PipelineId pid);
-
   const ExecutionPlan* plan_;
-  EventSink* sink_;
   obs::Session* obs_{nullptr};
 
   // Resolved execution options (kAuto already applied).
@@ -192,7 +186,7 @@ class GraphRuntime {
   std::size_t task_workers_{0};
   bool task_spans_{false};
   const char* executor_name_{"threads"};
-  QueueNotifier* notifier_{nullptr};  ///< installed by the task executor
+  QueueNotifier* notifier_{nullptr};  ///< installed by the executor
 
   // Observability handles, resolved once at construction (the registry
   // lookup takes a mutex; the hot paths below only dereference).  All

@@ -1,7 +1,8 @@
 // Internal header shared by the runtime layer's translation units
-// (runtime.cpp: construction, orchestration, reporting; runtime_loops.cpp:
-// the worker loops).  Not installed, not part of the public API — include
-// core/runtime.hpp instead.
+// (runtime.cpp: construction, orchestration, reporting; executor.cpp: the
+// stage tasks and their two placements; custom_stage.cpp: the blocking
+// StageContext of custom stages).  Not installed, not part of the public
+// API — include core/runtime.hpp instead.
 #pragma once
 
 #include "core/runtime.hpp"
@@ -16,8 +17,7 @@
 namespace fg {
 
 /// Thrown inside a custom stage's context when the graph aborts; caught
-/// by the worker entry so error unwinding does not look like a stage
-/// failure.
+/// by run_custom so error unwinding does not look like a stage failure.
 struct AbortSignal {};
 
 inline util::Duration now_minus(util::TimePoint t0) {
@@ -25,8 +25,8 @@ inline util::Duration now_minus(util::TimePoint t0) {
 }
 
 /// Per-run, per-worker mutable state: live queue pointers resolved from
-/// the plan's indices, the worker's stats, its thread(s), and the
-/// source/replica bookkeeping.
+/// the plan's indices, the worker's stats, and the source/replica
+/// bookkeeping.
 struct GraphRuntime::RunWorker {
   std::uint32_t index{0};
   const PlannedWorker* spec{nullptr};
@@ -36,8 +36,6 @@ struct GraphRuntime::RunWorker {
   std::unordered_map<PipelineId, Channel*> out;  // successor per pid
 
   StageStats stats;
-  std::thread thread;
-  std::vector<std::thread> extra_threads;
 
   // Diagnostic state for the stall watchdog: which queue this worker is
   // currently blocked on (kNoQueue when it is not inside a queue op) and
@@ -57,11 +55,10 @@ struct GraphRuntime::RunWorker {
   };
   std::unordered_map<PipelineId, SrcState> src;
 
-  // Replicated map stages: `replicas` threads share this worker's queue
+  // Replicated map stages: `replicas` tasks share this worker's queue
   // and this state.
   struct ReplShared {
     std::mutex mutex;
-    std::condition_variable cv;
     /// Buffer tokens popped from the shared queue that have reached a
     /// terminal state (conveyed, recycled, or parked).  The caboose gate
     /// compares this against the queue's own pop count — which the queue
@@ -74,9 +71,8 @@ struct GraphRuntime::RunWorker {
     std::unordered_map<PipelineId, bool> closed;
     std::size_t active{0};
     bool initialized{false};
-    /// Task-executor termination flag: set (under mutex) by the replica
-    /// task that forwards the last caboose, instead of the poison-pill
-    /// close tokens the blocking loop uses to wake sleeping siblings.
+    /// Termination flag: set (under mutex) by the replica that forwards
+    /// the last caboose, which then wakes its siblings to observe it.
     bool done{false};
   } repl;
 };
@@ -121,8 +117,8 @@ class GraphRuntime::Context final : public StageContext {
 
   GraphRuntime& rt_;
   RunWorker& w_;
-  // Captured at construction, which happens on the worker's own thread
-  // after worker_entry published its ring; null when tracing is off.
+  // Captured at construction, which happens on the stage's own thread
+  // after run_custom published its ring; null when tracing is off.
   obs::SpanRing* const ring_ = obs::current_ring();
   std::unordered_map<PipelineId, std::deque<Buffer*>> stash_;
   std::unordered_set<PipelineId> exhausted_;

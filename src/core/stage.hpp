@@ -1,7 +1,7 @@
 // Stages are the programmer-visible unit of work in FG.  The programmer
 // writes straightforward synchronous code; FG maps each stage (or each
-// *group* of virtual stages) to its own thread and moves buffers between
-// stages through blocking queues.
+// *group* of virtual stages) to its own worker — a thread of its own by
+// default — and moves buffers between stages through queues.
 //
 // Two flavours:
 //
@@ -83,14 +83,15 @@ class MapStage : public Stage {
   /// Invoke the per-buffer function (called by the framework loop).
   StageAction apply(Buffer& b) { return fn_(b); }
 
-  /// Invoke the flush hook, if any (called by the framework loop just
-  /// before forwarding a pipeline's caboose).
+  /// Invoke the flush hook, if any (called by the framework just before
+  /// forwarding a pipeline's caboose).
   void flush(PipelineId p) {
     if (flush_) flush_(p);
   }
 
-  /// MapStage execution is driven by the worker loop in PipelineGraph,
-  /// not by run(); this override exists only to satisfy the interface.
+  /// MapStage execution is driven by the runtime's map tasks
+  /// (core/executor.cpp), not by run(); this override exists only to
+  /// satisfy the interface.
   void run(StageContext&) override;
 
  private:

@@ -1,15 +1,22 @@
-// Per-stage timing statistics, collected by every worker thread.  These
-// are the numbers FG's overlap story is judged by: a well-overlapped
-// pipeline shows most stages spending their time blocked (yielding) while
-// exactly one high-latency operation per resource is in flight.
+// Per-stage timing statistics, collected by every worker, and the per-run
+// report that bundles them with the queue counters.  These are the
+// numbers FG's overlap story is judged by: a well-overlapped pipeline
+// shows most stages spending their time blocked (yielding) while exactly
+// one high-latency operation per resource is in flight.
 #pragma once
 
+#include "core/channel.hpp"
 #include "util/latency.hpp"
+#include "util/retry.hpp"
 
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+namespace fg::util {
+class JsonWriter;
+}  // namespace fg::util
 
 namespace fg {
 
@@ -68,5 +75,32 @@ inline void merge_stage_stats(std::vector<StageStats>& into,
     t.convey_blocked += s.convey_blocked;
   }
 }
+
+/// Everything one completed run reports: per-worker StageStats, per-queue
+/// counters, and the run's wall time.  Reset at the start of every run of
+/// a rerunnable graph.
+struct RunStats {
+  std::vector<StageStats> stages;
+  std::vector<QueueStats> queues;
+  double wall_seconds{0.0};
+  std::size_t runs_completed{0};  ///< how many times the graph has run
+  /// Executor of the most recent run ("threads" or "tasks").
+  std::string executor;
+
+  // Fault/recovery counters.  The runtime itself does not fill these —
+  // the driver that owns the disks and the fault injector aggregates them
+  // (see fgsort) so one blob describes the whole run.
+  util::RetryStats disk_retries;
+  std::uint64_t faults_injected{0};
+
+  /// Emit as one JSON object: {"wall_seconds":…,"stages":[…],"queues":[…],
+  /// "disk_retries":{…},"faults_injected":…}.
+  void write_json(util::JsonWriter& w) const;
+};
+
+/// Emit a vector of StageStats as a JSON array (shared by RunStats and
+/// the sort drivers' aggregated reports).
+void write_stage_stats_json(util::JsonWriter& w,
+                            const std::vector<StageStats>& stages);
 
 }  // namespace fg

@@ -7,7 +7,7 @@
 #include <map>
 #include <set>
 
-#include "util/trace.hpp"
+#include "util/json.hpp"
 
 namespace fg::obs {
 namespace {

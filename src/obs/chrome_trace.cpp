@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "util/trace.hpp"
+#include "util/json.hpp"
 
 namespace fg::obs {
 namespace {

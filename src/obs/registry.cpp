@@ -1,6 +1,6 @@
 #include "obs/registry.hpp"
 
-#include "util/trace.hpp"
+#include "util/json.hpp"
 
 namespace fg::obs {
 

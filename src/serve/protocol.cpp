@@ -1,7 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include "comm/net_io.hpp"
-#include "util/trace.hpp"
+#include "util/json.hpp"
 
 #include <sys/socket.h>
 #include <unistd.h>

@@ -1,8 +1,8 @@
 #include "serve/server.hpp"
 
 #include "comm/net_io.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
-#include "util/trace.hpp"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>

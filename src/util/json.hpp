@@ -1,12 +1,17 @@
-// A strict JSON parser: the reading half of util/trace.hpp's JsonWriter.
+// Machine-readable run output: a streaming JSON writer and a strict
+// parser for reading the blobs back.
+//
+// The writer emits canonical JSON (UTF-8 pass-through, escaped control
+// characters, no trailing commas) so that `fgsort --stats-json` and the
+// benches can dump one blob per run that any downstream tool can parse.
 //
 // The observability tooling (tools/fgtrace, the JSON round-trip tests)
-// must be able to *consume* the blobs the writers emit and reject
-// malformed output loudly — a trace that chrome://tracing would refuse
-// should fail CI, not ship.  Hence strict: the full RFC 8259 grammar,
-// nothing more (no trailing commas, no comments, no NaN/Infinity, no
-// unescaped control characters), duplicate object keys rejected, and the
-// entire input must be one value plus whitespace.
+// must be able to *consume* those blobs and reject malformed output
+// loudly — a trace that chrome://tracing would refuse should fail CI,
+// not ship.  Hence a strict parser: the full RFC 8259 grammar, nothing
+// more (no trailing commas, no comments, no NaN/Infinity, no unescaped
+// control characters), duplicate object keys rejected, and the entire
+// input must be one value plus whitespace.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +23,66 @@
 #include <vector>
 
 namespace fg::util {
+
+/// Streaming JSON writer with automatic comma placement.  Usage:
+///
+///   JsonWriter w;
+///   w.begin_object();
+///   w.key("records"); w.value(std::uint64_t{1048576});
+///   w.key("stages"); w.begin_array(); ... w.end_array();
+///   w.end_object();
+///   std::string blob = w.str();
+///
+/// Nesting mistakes (a value with no pending key inside an object, or
+/// unbalanced begin/end) throw std::logic_error rather than emitting
+/// malformed output.
+class JsonWriter {
+ public:
+  JsonWriter();
+
+  void begin_object();
+  void end_object();
+  void begin_array();
+  void end_array();
+
+  /// Name the next value inside an object.
+  void key(std::string_view k);
+
+  void value(std::string_view v);
+  void value(const char* v) { value(std::string_view(v)); }
+  void value(double v);
+  void value(bool v);
+  void value(std::uint64_t v);
+  void value(std::int64_t v);
+  void value(int v) { value(static_cast<std::int64_t>(v)); }
+  void value(unsigned v) { value(static_cast<std::uint64_t>(v)); }
+  void null();
+
+  /// Shorthand for key(k); value(v).
+  template <typename T>
+  void kv(std::string_view k, T&& v) {
+    key(k);
+    value(std::forward<T>(v));
+  }
+
+  /// True once every begin_* has been matched by its end_*.
+  bool complete() const noexcept;
+
+  /// The rendered document; valid only when complete().
+  const std::string& str() const;
+
+  static std::string escape(std::string_view s);
+
+ private:
+  enum class Frame : std::uint8_t { kObject, kArray };
+  void before_value();
+
+  std::string out_;
+  std::vector<Frame> stack_;
+  std::vector<bool> has_items_;  // parallel to stack_
+  bool key_pending_{false};
+  bool root_written_{false};
+};
 
 /// Thrown by Json::parse on any grammar violation; the message names the
 /// byte offset and the rule that failed.

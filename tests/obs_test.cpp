@@ -9,7 +9,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/session.hpp"
 #include "util/json.hpp"
-#include "util/trace.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,12 +1,17 @@
 // Tests for the plan / runtime / instrumentation split: plan inspection,
 // rerunnable graphs, clean abort paths (every buffer accounted for), the
-// event-hook layer, and the JSON stats export.
+// always-on stage and queue counters, strict executor environment
+// parsing, and the JSON stats export.
 #include "core/fg.hpp"
-#include "util/trace.hpp"
+#include "exec_param.hpp"
+#include "obs/session.hpp"
+#include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -268,21 +273,6 @@ TEST(Rerun, CustomStageGraphReruns) {
   EXPECT_EQ(got.load(), 12);
 }
 
-TEST(Rerun, RerunWithEventSinkSeesFreshRun) {
-  PipelineGraph g;
-  auto& p = g.add_pipeline(small_config("p", 5));
-  MapStage s("s", [](Buffer&) { return StageAction::kConvey; });
-  p.add_stage(s);
-  TracingEventSink sink;
-  g.set_event_sink(&sink);
-  g.run();
-  const std::size_t first = sink.log().snapshot().size();
-  EXPECT_GT(first, 0u);
-  sink.log().reset();
-  g.run();
-  EXPECT_EQ(sink.log().snapshot().size(), first);
-}
-
 // ---------------------------------------------------------------------------
 // Abort path
 // ---------------------------------------------------------------------------
@@ -362,33 +352,82 @@ TEST(Abort, GraphIsRerunnableAfterAbort) {
 // Instrumentation
 // ---------------------------------------------------------------------------
 
-TEST(Events, SinkSeesLifecycleEvents) {
+// What one run of the 8-round "recycle every odd round" graph below
+// reports through StageStats, QueueStats and an attached obs::Session.
+struct Lifecycle {
+  std::uint64_t map_buffers{0};     ///< rounds the map stage handled
+  std::uint64_t sink_buffers{0};    ///< rounds that reached the sink
+  std::uint64_t recycle_pushes{0};  ///< tokens into the source's recycle queue
+  std::uint64_t sink_pops{0};       ///< tokens the sink accepted
+  std::uint64_t rounds_counted{0};  ///< session "pipeline.rounds" delta
+};
+
+Lifecycle run_lifecycle(PipelineGraph& g, obs::Session& session) {
+  const std::uint64_t rounds_before =
+      session.metrics().counter("pipeline.rounds").value();
+  g.run();
+  Lifecycle out;
+  const ExecutionPlan& plan = g.plan();
+  const std::vector<StageStats> stages = g.stats();
+  const std::vector<QueueStats> queues = g.run_stats().queues;
+  for (std::size_t i = 0; i < plan.workers().size(); ++i) {
+    const PlannedWorker& w = plan.workers()[i];
+    if (w.kind == WorkerKind::kMap) out.map_buffers = stages[i].buffers;
+    if (w.kind == WorkerKind::kSink) {
+      out.sink_buffers = stages[i].buffers;
+      out.sink_pops = queues[w.in].pops;
+    }
+  }
+  out.recycle_pushes = queues[plan.source_in(0)].pushes;
+  out.rounds_counted =
+      session.metrics().counter("pipeline.rounds").value() - rounds_before;
+  return out;
+}
+
+// Every lifecycle test replays under {threads,tasks} x {auto,mpmc}.
+using LifecycleP = test::WithExecutor;
+INSTANTIATE_TEST_SUITE_P(Executors, LifecycleP,
+                         ::testing::ValuesIn(test::kExecMatrix),
+                         test::exec_param_name);
+
+TEST_P(LifecycleP, CountersSeeEveryStageEvent) {
   PipelineGraph g;
   auto& p = g.add_pipeline(small_config("p", 8));
   MapStage s("s", [](Buffer& b) {
     return b.round() % 2 ? StageAction::kRecycle : StageAction::kConvey;
   });
   p.add_stage(s);
-  TracingEventSink sink;
-  g.set_event_sink(&sink);
-  g.run();
+  obs::Session session;
+  g.set_observability(&session);
+  const Lifecycle l = run_lifecycle(g, session);
+  EXPECT_EQ(l.map_buffers, 8u);   // the map stage saw every round
+  EXPECT_EQ(l.sink_buffers, 4u);  // the conveyed half reached the sink
+  EXPECT_EQ(l.rounds_counted, 4u);
+  // The sink recycles its 4 and the map stage recycled the other 4: all
+  // 8 buffers went back to the source, none was dropped.
+  EXPECT_EQ(l.recycle_pushes, 8u);
+  // The sink accepted its 4 buffers and then the caboose.
+  EXPECT_EQ(l.sink_pops, l.sink_buffers + 1);
+}
 
-  std::set<std::string> kinds;
-  std::uint64_t accepted = 0, conveyed = 0, recycled = 0;
-  for (const auto& e : sink.log().snapshot()) {
-    kinds.insert(e.kind);
-    if (std::string(e.kind) == "accept") ++accepted;
-    if (std::string(e.kind) == "convey") ++conveyed;
-    if (std::string(e.kind) == "recycle") ++recycled;
-  }
-  EXPECT_TRUE(kinds.count("accept"));
-  EXPECT_TRUE(kinds.count("convey"));
-  EXPECT_TRUE(kinds.count("recycle"));
-  EXPECT_TRUE(kinds.count("caboose"));
-  EXPECT_TRUE(kinds.count("qpush"));
-  EXPECT_EQ(accepted, 8u);       // map stage saw every round
-  EXPECT_GE(conveyed, 8u + 4u);  // source emissions + conveyed halves
-  EXPECT_GE(recycled, 4u);       // the recycled halves
+TEST_P(LifecycleP, RerunReportsTheSameCounts) {
+  PipelineGraph g;
+  auto& p = g.add_pipeline(small_config("p", 8));
+  MapStage s("s", [](Buffer& b) {
+    return b.round() % 2 ? StageAction::kRecycle : StageAction::kConvey;
+  });
+  p.add_stage(s);
+  obs::Session session;
+  g.set_observability(&session);
+  const Lifecycle first = run_lifecycle(g, session);
+  const Lifecycle second = run_lifecycle(g, session);
+  EXPECT_EQ(first.map_buffers, 8u);
+  EXPECT_EQ(second.map_buffers, first.map_buffers);
+  EXPECT_EQ(second.sink_buffers, first.sink_buffers);
+  EXPECT_EQ(second.recycle_pushes, first.recycle_pushes);
+  EXPECT_EQ(second.sink_pops, first.sink_pops);
+  EXPECT_EQ(second.rounds_counted, first.rounds_counted);
+  EXPECT_EQ(g.runs_completed(), 2u);
 }
 
 TEST(Events, QueueStatsBalanceOnCleanRun) {
@@ -460,23 +499,93 @@ TEST(Json, WriterRejectsMisuse) {
   EXPECT_THROW(w.str(), std::logic_error);  // incomplete
 }
 
-TEST(Json, TraceLogExportsEntries) {
-  util::TraceLog log(4);
-  log.record("a", 1, 2, 3);
-  log.record("b", 4, 5, 6);
-  EXPECT_EQ(log.snapshot().size(), 2u);
-  log.record("c", 0, 0, 0);
-  log.record("d", 0, 0, 0);
-  log.record("e", 0, 0, 0);  // over the bound: dropped
-  EXPECT_EQ(log.snapshot().size(), 4u);
-  EXPECT_EQ(log.dropped(), 1u);
-  util::JsonWriter w;
-  log.write_json(w);
-  // The log exports as {"entries":[...],"dropped":N} so the dropped count
-  // travels with the data.
-  EXPECT_NE(w.str().find("\"entries\":["), std::string::npos);
-  EXPECT_NE(w.str().find("\"kind\":\"a\""), std::string::npos);
-  EXPECT_NE(w.str().find("\"dropped\":1"), std::string::npos);
+// ---------------------------------------------------------------------------
+// Executor environment
+// ---------------------------------------------------------------------------
+
+/// Sets one environment variable for the enclosing scope, restoring the
+/// previous value (or absence) on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* v = std::getenv(name)) saved_ = v;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+TEST(ExecutorEnv, MalformedVariablesThrowNamingTheVariable) {
+  // Each of these used to run silently on a fallback: "4x" as 4 workers,
+  // 100000 as a 100000-thread pool, an unknown name as the default.
+  const struct {
+    const char* name;
+    const char* value;
+  } cases[] = {
+      {"FG_TASK_WORKERS", "4x"},   {"FG_TASK_WORKERS", "100000"},
+      {"FG_TASK_WORKERS", "0"},    {"FG_EXECUTOR", "task"},
+      {"FG_CHANNELS", "mpcm"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.name) + "=" + c.value);
+    ScopedEnv env(c.name, c.value);
+    PipelineGraph g;
+    auto& p = g.add_pipeline(small_config("p", 4));
+    std::atomic<int> applied{0};
+    MapStage s("s", [&](Buffer&) {
+      ++applied;
+      return StageAction::kConvey;
+    });
+    p.add_stage(s);
+    // kAuto options, so all three variables are consulted.
+    RuntimeOptions opts;
+    opts.executor = ExecutorKind::kAuto;
+    g.set_runtime_options(opts);
+    try {
+      g.run();
+      ADD_FAILURE() << "run() accepted the malformed variable";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.name), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(c.value), std::string::npos)
+          << e.what();
+    }
+    // Thrown from the runtime's constructor: no stage ever ran.
+    EXPECT_EQ(applied.load(), 0);
+    EXPECT_EQ(g.runs_completed(), 0u);
+  }
+}
+
+TEST(ExecutorEnv, WellFormedVariablesResolve) {
+  {
+    ScopedEnv env("FG_TASK_WORKERS", "65536");
+    EXPECT_EQ(resolve_task_workers(0), 65536u);
+  }
+  {
+    ScopedEnv env("FG_EXECUTOR", "tasks");
+    EXPECT_EQ(resolve_executor(ExecutorKind::kAuto), ExecutorKind::kTasks);
+  }
+  {
+    ScopedEnv env("FG_CHANNELS", "mpmc");
+    EXPECT_EQ(resolve_channels(ChannelPolicy::kAuto),
+              ChannelPolicy::kMpmcOnly);
+  }
+  // Explicit options never consult the environment.
+  ScopedEnv env("FG_EXECUTOR", "bogus");
+  EXPECT_EQ(resolve_executor(ExecutorKind::kThreadPerStage),
+            ExecutorKind::kThreadPerStage);
+  EXPECT_EQ(resolve_task_workers(3), 3u);
 }
 
 }  // namespace

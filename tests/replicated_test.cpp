@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <set>
 #include <mutex>
 #include <thread>
@@ -204,6 +205,65 @@ TEST_P(ReplicatedP, TwoReplicatedStagesInOnePipeline) {
   g.run();
   EXPECT_EQ(a.load(), 200);
   EXPECT_EQ(b.load(), 200);
+}
+
+// ---------------------------------------------------------------------------
+// Placement: the two executors run the same stage tasks and differ only
+// in which threads those tasks run on.
+// ---------------------------------------------------------------------------
+
+TEST(Placement, ThreadPerStageGivesEachReplicaItsOwnThread) {
+  constexpr std::size_t kReplicas = 4;
+  PipelineGraph g;
+  auto& p = g.add_pipeline(cfg_of(64, 8));
+  std::mutex m;
+  std::condition_variable cv;
+  std::set<std::thread::id> ids;
+  MapStage work("work", [&](Buffer&) {
+    // Blocking body: hold the thread until every replica has shown up,
+    // so no replica can serve two buffers on one thread meanwhile.  The
+    // wait is bounded so a wrong placement fails instead of hanging.
+    std::unique_lock<std::mutex> lock(m);
+    ids.insert(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(5),
+                [&] { return ids.size() >= kReplicas; });
+    return StageAction::kConvey;
+  });
+  p.add_stage_replicated(work, kReplicas);
+  RuntimeOptions opts;
+  opts.executor = ExecutorKind::kThreadPerStage;
+  g.set_runtime_options(opts);
+  g.run();
+  EXPECT_EQ(ids.size(), kReplicas);
+}
+
+TEST(Placement, TaskPoolRunsEveryStageOnItsWorkers) {
+  PipelineGraph g;
+  auto& p = g.add_pipeline(cfg_of(200, 8));
+  std::mutex m;
+  std::set<std::thread::id> ids;
+  const auto record = [&](Buffer&) {
+    {
+      std::lock_guard<std::mutex> lock(m);
+      ids.insert(std::this_thread::get_id());
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    return StageAction::kConvey;
+  };
+  MapStage a("a", record);
+  MapStage b("b", record);
+  MapStage c("c", record);
+  p.add_stage(a);
+  p.add_stage_replicated(b, 4);
+  p.add_stage(c);
+  RuntimeOptions opts;
+  opts.executor = ExecutorKind::kTasks;
+  opts.task_workers = 2;  // what FG_TASK_WORKERS=2 resolves to
+  g.set_runtime_options(opts);
+  g.run();
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 2u);
 }
 
 }  // namespace

@@ -88,6 +88,20 @@ TEST(FgsortCli, TinyNativeRunSucceeds) {
   EXPECT_NE(r.output.find("disk=native"), std::string::npos) << r.output;
 }
 
+TEST(FgsortCli, MalformedExecutorEnvironmentNamesTheVariable) {
+  // strtol used to read "4x" as 4 workers, and an unknown executor or
+  // channel name silently fell back to the default.
+  const std::string args =
+      " --program dsort --nodes 2 --records 512 --record-bytes 32"
+      " --latency none";
+  expect_flag_diagnostic(run("FG_TASK_WORKERS=4x " + g_fgsort + args), 2,
+                         "FG_TASK_WORKERS", "4x");
+  expect_flag_diagnostic(run("FG_EXECUTOR=task " + g_fgsort + args), 2,
+                         "FG_EXECUTOR", "task");
+  expect_flag_diagnostic(run("FG_CHANNELS=mpcm " + g_fgsort + args), 2,
+                         "FG_CHANNELS", "mpcm");
+}
+
 TEST(FgnodeCli, GarbageNodesNamesTheFlag) {
   expect_flag_diagnostic(run(g_fgnode + " --nodes banana -- true"), 2,
                          "--nodes", "banana");

@@ -1,8 +1,10 @@
 #!/bin/sh
-# CI entry point: build and test the library in a Release configuration
-# and under ThreadSanitizer.  The pipeline runtime is all threads and
-# queues, so a TSan pass is the cheapest way to keep the worker loops
-# honest; run it on every change to src/core.
+# CI entry point: build and test the library in a Release configuration,
+# under ThreadSanitizer, and under AddressSanitizer + UBSan.  The pipeline
+# runtime is all threads and queues, so a TSan pass is the cheapest way
+# to keep the stage engine honest, and stage tasks live on their own
+# threads across abort and teardown, which the ASan pass checks for
+# use-after-free; run both on every change to src/core.
 #
 #   tools/ci.sh [JOBS]
 set -eu
@@ -24,6 +26,7 @@ run_config() {
 
 run_config release -DCMAKE_BUILD_TYPE=Release -DFG_WERROR=ON
 run_config tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFG_SANITIZE=thread
+run_config asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFG_SANITIZE=address
 
 # Two-executor conformance: the whole tier-1 suite must pass with the
 # task executor (work-stealing pool) substituted for thread-per-stage.
@@ -354,8 +357,8 @@ echo "==> wrote BENCH_serve.json (server drained clean, exit 0)"
 # pattern; the disk-fault tests are parameterized over all disk
 # backends, so every seed soaks stdio, native, and (where the kernel
 # allows) io_uring alike.  Each seed runs twice — once
-# per executor backend — so the task pool's steal/park/abort paths soak
-# under TSan just like the dedicated-thread loops.  A seed that breaks
+# per executor — so the stage tasks' park/wake/abort paths soak under
+# TSan on their own threads and on the stealing pool.  A seed that breaks
 # here reproduces locally with FG_CHAOS_SEED=<seed> (plus
 # FG_EXECUTOR=tasks for the task-pool leg) build-ci-tsan/tests/chaos_test.
 echo "==> chaos soak (tsan, 10 seeds x 2 executors)"

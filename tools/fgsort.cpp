@@ -82,17 +82,17 @@
 // final barrier, other ranks report "skip".  --latency only shapes disk
 // charging in tcp/shm mode: the transport is real, not simulated.
 #include "comm/cluster.hpp"
-#include "core/events.hpp"
+#include "core/stage_stats.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/session.hpp"
 #include "pdm/uring_disk.hpp"
 #include "sort/experiment.hpp"
 #include "sort/ssort.hpp"
 #include "util/fault.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 #include "util/retry.hpp"
 #include "util/table.hpp"
-#include "util/trace.hpp"
 
 #include <condition_variable>
 #include <cstdio>
@@ -322,6 +322,11 @@ Options parse(int argc, char** argv) try {
   // csort needs a compatible geometry; use the same N for all programs.
   opt.cfg.records = sort::csort_compatible_records(
       opt.cfg.records, opt.cfg.nodes, opt.cfg.block_records);
+  // A malformed FG_EXECUTOR, FG_TASK_WORKERS or FG_CHANNELS is a usage
+  // error like a bad flag: report it here, not from the first run.
+  resolve_executor(opt.cfg.runtime.executor);
+  resolve_task_workers(opt.cfg.runtime.task_workers);
+  resolve_channels(opt.cfg.runtime.channels);
   return opt;
 } catch (const std::invalid_argument& e) {
   std::fprintf(stderr, "fgsort: %s\n", e.what());

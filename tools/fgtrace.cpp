@@ -15,7 +15,6 @@
 #include "obs/analyze.hpp"
 #include "util/json.hpp"
 #include "util/parse.hpp"
-#include "util/trace.hpp"
 
 #include <cstdio>
 #include <fstream>
