@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstring>
 #include <mutex>
-#include <queue>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -66,20 +65,21 @@ class MergeStage final : public Stage {
     const std::size_t k = verticals_.size();
     std::vector<Cursor> cur(k);
 
-    using HeapItem = std::pair<std::uint64_t, std::uint32_t>;  // (key, run)
-    std::priority_queue<HeapItem, std::vector<HeapItem>,
-                        std::greater<HeapItem>> heap;
-
+    // Equal keys leave by their record's tie, not by run: runs form in
+    // receive order, so only the extended key makes the output a pure
+    // function of the input.
+    MergeHeap heap([&](std::uint32_t v) {
+      return util::mix64(uid_of(cur[v].b->contents().data() + cur[v].i * rec_));
+    });
+    // Accept run v's next buffer; false once the run is exhausted.
     auto load = [&](std::uint32_t v) {
       Buffer* b = ctx.accept(*verticals_[v]);
-      if (b == nullptr) {
-        cur[v] = Cursor{};
-        return;
-      }
-      cur[v] = Cursor{b, 0, b->size() / rec_};
-      heap.emplace(key_of(b->contents().data()), v);
+      cur[v] = b != nullptr ? Cursor{b, 0, b->size() / rec_} : Cursor{};
+      return b != nullptr;
     };
-    for (std::uint32_t v = 0; v < k; ++v) load(v);
+    for (std::uint32_t v = 0; v < k; ++v) {
+      if (load(v)) heap.push(key_of(cur[v].b->contents().data()), v);
+    }
 
     Buffer* out = ctx.accept(*horizontal_);
     std::uint64_t emitted = 0;
@@ -88,8 +88,7 @@ class MergeStage final : public Stage {
     out->set_tag(global_start_);
 
     while (!heap.empty()) {
-      const auto [key, v] = heap.top();
-      heap.pop();
+      const std::uint32_t v = heap.top();
       Cursor& c = cur[v];
       std::memcpy(out->data().data() + oi * rec_,
                   c.b->contents().data() + c.i * rec_, rec_);
@@ -99,9 +98,13 @@ class MergeStage final : public Stage {
         // Spent input buffer: convey it to its own vertical sink for
         // recycling, then accept the run's next buffer (if any).
         ctx.convey(c.b);
-        load(v);
+        if (load(v)) {
+          heap.replace_top(key_of(c.b->contents().data()));
+        } else {
+          heap.pop();
+        }
       } else {
-        heap.emplace(key_of(c.b->contents().data() + c.i * rec_), v);
+        heap.replace_top(key_of(c.b->contents().data() + c.i * rec_));
       }
       if (oi == ocap) {
         out->set_size(oi * rec_);

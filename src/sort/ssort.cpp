@@ -6,7 +6,6 @@
 #include "util/timer.hpp"
 
 #include <cstring>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -181,11 +180,14 @@ SortResult run_ssort(comm::Cluster& cluster, pdm::Workspace& ws,
         }
         pos[v] = 0;
       };
-      using Item = std::pair<std::uint64_t, std::uint32_t>;
-      std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-      for (std::size_t v = 0; v < k; ++v) {
+      // Equal keys leave by their record's tie, not by run (runs form in
+      // receive order), as in dsort's merge.
+      MergeHeap heap([&](std::uint32_t v) {
+        return util::mix64(uid_of(cur[v].data() + pos[v] * rec));
+      });
+      for (std::uint32_t v = 0; v < k; ++v) {
         refill(v);
-        if (!cur[v].empty()) heap.emplace(key_of(cur[v].data()), v);
+        if (!cur[v].empty()) heap.push(key_of(cur[v].data()), v);
       }
 
       const std::size_t out_records = cfg.out_buffer_records;
@@ -234,16 +236,19 @@ SortResult run_ssort(comm::Cluster& cluster, pdm::Workspace& ws,
       };
 
       while (!heap.empty()) {
-        const auto [key, v] = heap.top();
-        heap.pop();
+        const std::uint32_t v = heap.top();
         std::memcpy(out.data() + oi * rec, cur[v].data() + pos[v] * rec, rec);
         ++oi;
         ++pos[v];
         if (pos[v] * rec >= cur[v].size()) {
           refill(v);
-          if (!cur[v].empty()) heap.emplace(key_of(cur[v].data()), v);
+          if (cur[v].empty()) {
+            heap.pop();
+          } else {
+            heap.replace_top(key_of(cur[v].data()));
+          }
         } else {
-          heap.emplace(key_of(cur[v].data() + pos[v] * rec), v);
+          heap.replace_top(key_of(cur[v].data() + pos[v] * rec));
         }
         if (oi == out_records) {
           ship(oi);

@@ -1,11 +1,18 @@
 // Tests for the in-memory record kernels: sorting, partitioning by
-// extended-key splitters, merging, and strided gather/scatter.
+// extended-key splitters, merging, and strided gather/scatter.  The radix
+// sort and branch-free partition must match the comparison-sort and
+// binary-search oracles (kernel_oracle.hpp) byte for byte.
 #include "sort/kernels.hpp"
+
+#include "kernel_oracle.hpp"
+#include "sort/distributions.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <tuple>
 #include <vector>
 
 namespace fg::sort {
@@ -34,6 +41,50 @@ std::vector<std::uint64_t> keys_of(std::span<const std::byte> data,
     k.push_back(key_of(data.data() + i * rec));
   }
   return k;
+}
+
+/// The sort kernel's cache bound, in 16-byte pairs: arrays above it take
+/// the MSD split first.
+constexpr std::size_t kCachePairs = (std::size_t{1} << 20) / 16;
+
+constexpr Distribution kAllDistributions[] = {
+    Distribution::kUniform,  Distribution::kAllEqual,
+    Distribution::kNormal,   Distribution::kPoisson,
+    Distribution::kSorted,   Distribution::kReversed,
+    Distribution::kNodeClustered};
+
+std::string short_name(Distribution d) {
+  switch (d) {
+    case Distribution::kUniform: return "Uniform";
+    case Distribution::kAllEqual: return "AllEqual";
+    case Distribution::kNormal: return "Normal";
+    case Distribution::kPoisson: return "Poisson";
+    case Distribution::kSorted: return "Sorted";
+    case Distribution::kReversed: return "Reversed";
+    case Distribution::kNodeClustered: return "NodeClustered";
+  }
+  return "Unknown";
+}
+
+std::vector<std::byte> dist_records(Distribution d, std::size_t n,
+                                    std::uint32_t rec, std::uint64_t seed = 11) {
+  std::vector<std::byte> data(n * rec);
+  for (std::size_t g = 0; g < n; ++g) {
+    make_record(d, seed, g, n, std::span(data).subspan(g * rec, rec));
+  }
+  return data;
+}
+
+/// Index of the first record where two equally sized arrays differ, or
+/// -1; keeps failure messages short for multi-megabyte inputs.
+long first_mismatch(std::span<const std::byte> a, std::span<const std::byte> b,
+                    std::uint32_t rec) {
+  for (std::size_t i = 0; i < a.size() / rec; ++i) {
+    if (std::memcmp(a.data() + i * rec, b.data() + i * rec, rec) != 0) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
 }
 
 class KernelsParam : public ::testing::TestWithParam<std::uint32_t> {};
@@ -110,6 +161,14 @@ TEST(Kernels, SortRejectsBadArguments) {
   EXPECT_THROW(sort_records(wide, 64, small_scratch), std::invalid_argument);
 }
 
+TEST(Kernels, SortRejectsTooSmallScratchAt16Bytes) {
+  auto data = make_records({3, 1, 2, 0}, 16);
+  const auto before = data;
+  std::vector<std::byte> small_scratch(data.size() - 16);
+  EXPECT_THROW(sort_records(data, 16, small_scratch), std::invalid_argument);
+  EXPECT_EQ(data, before);
+}
+
 TEST(Kernels, PartitionOfRespectsBounds) {
   std::vector<ExtKey> splitters{{10, 0}, {20, 0}, {30, 0}};
   EXPECT_EQ(partition_of({5, 0}, splitters), 0u);
@@ -117,6 +176,24 @@ TEST(Kernels, PartitionOfRespectsBounds) {
   EXPECT_EQ(partition_of({10, 1}, splitters), 1u);   // tie broken by extension
   EXPECT_EQ(partition_of({25, 0}, splitters), 2u);
   EXPECT_EQ(partition_of({99, 0}, splitters), 3u);
+}
+
+TEST(Kernels, PartitionOfMatchesOracleOnEqualKeySplitters) {
+  // Runs of splitters sharing a key, at both ends and in the middle of
+  // the list, for odd and even splitter counts.
+  for (std::size_t m : {1u, 2u, 5u, 16u, 17u, 40u}) {
+    std::vector<ExtKey> splitters;
+    for (std::size_t j = 0; j < m; ++j) {
+      splitters.push_back({(j / 3) * 10, j * 7});
+    }
+    for (std::uint64_t key = 0; key <= (m / 3) * 10 + 10; key += 5) {
+      for (std::uint64_t tie : {0ull, 1ull, 7ull, 8ull, 50ull, ~0ull}) {
+        const ExtKey k{key, tie};
+        EXPECT_EQ(partition_of(k, splitters), oracle::partition_of(k, splitters))
+            << "m=" << m << " key=" << key << " tie=" << tie;
+      }
+    }
+  }
 }
 
 TEST(Kernels, PartitionRecordsGroupsContiguously) {
@@ -191,6 +268,49 @@ TEST(Kernels, MergeWithDuplicatesKeepsAll) {
   EXPECT_EQ(out.size() / 16, 7u);
 }
 
+TEST(Kernels, MergeHeapOrdersEqualKeysByExtendedKey) {
+  // Sorted runs cut from a heavily duplicated input in arbitrary order:
+  // the k-way merge must reproduce the one global order by extended key.
+  for (Distribution d : {Distribution::kPoisson, Distribution::kAllEqual,
+                         Distribution::kUniform}) {
+    constexpr std::uint32_t kRec = 24;
+    const auto data = dist_records(d, 5000, kRec);
+    std::vector<std::vector<std::byte>> runs;
+    util::Xoshiro256 rng(5);
+    for (std::size_t i = 0; i < 5000;) {
+      const std::size_t len = std::min<std::size_t>(1 + rng.below(400), 5000 - i);
+      runs.emplace_back(data.begin() + static_cast<std::ptrdiff_t>(i * kRec),
+                        data.begin() + static_cast<std::ptrdiff_t>((i + len) * kRec));
+      std::vector<std::byte> scratch(runs.back().size());
+      sort_records(runs.back(), kRec, scratch);
+      i += len;
+    }
+    std::vector<std::size_t> pos(runs.size(), 0);
+    MergeHeap heap([&](std::uint32_t v) {
+      return util::mix64(uid_of(runs[v].data() + pos[v] * kRec));
+    });
+    for (std::uint32_t v = 0; v < runs.size(); ++v) {
+      heap.push(key_of(runs[v].data()), v);
+    }
+    std::vector<std::byte> merged;
+    while (!heap.empty()) {
+      const std::uint32_t v = heap.top();
+      const std::byte* rec = runs[v].data() + pos[v]++ * kRec;
+      merged.insert(merged.end(), rec, rec + kRec);
+      if (pos[v] * kRec == runs[v].size()) {
+        heap.pop();
+      } else {
+        heap.replace_top(key_of(runs[v].data() + pos[v] * kRec));
+      }
+    }
+    auto expect = data;
+    std::vector<std::byte> scratch(expect.size());
+    oracle::sort_records(expect, kRec, scratch);
+    ASSERT_EQ(merged.size(), expect.size());
+    EXPECT_EQ(first_mismatch(merged, expect, kRec), -1) << to_string(d);
+  }
+}
+
 TEST(Kernels, GatherScatterRoundTrip) {
   auto data = make_records({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 16);
   std::vector<std::byte> packed(4 * 16);
@@ -211,6 +331,113 @@ TEST(Kernels, IsSortedRecords) {
   EXPECT_FALSE(is_sorted_records(unsorted, 16));
   std::vector<std::byte> empty;
   EXPECT_TRUE(is_sorted_records(empty, 16));
+}
+
+// ---------------------------------------------------------------------------
+// Radix sort and branch-free partition against the oracles.
+
+void expect_sort_matches_oracle(std::vector<std::byte> data,
+                                std::uint32_t rec) {
+  auto expect = data;
+  std::vector<std::byte> scratch(data.size()), oracle_scratch(data.size());
+  sort_records(data, rec, scratch);
+  oracle::sort_records(expect, rec, oracle_scratch);
+  ASSERT_EQ(data.size(), expect.size());
+  EXPECT_EQ(first_mismatch(data, expect, rec), -1);
+}
+
+using SortOracleParams = std::tuple<Distribution, std::uint32_t, std::size_t>;
+class SortMatchesOracle : public ::testing::TestWithParam<SortOracleParams> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllInputs, SortMatchesOracle,
+    ::testing::Combine(::testing::ValuesIn(kAllDistributions),
+                       ::testing::Values(16u, 24u, 64u),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{2}, std::size_t{255},
+                                         std::size_t{16} << 10,
+                                         kCachePairs + 1,
+                                         std::size_t{512} << 10)),
+    [](const ::testing::TestParamInfo<SortOracleParams>& info) {
+      return short_name(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param)) + "B_n" +
+             std::to_string(std::get<2>(info.param));
+    });
+
+TEST_P(SortMatchesOracle, ByteIdentical) {
+  const auto [dist, rec, n] = GetParam();
+  expect_sort_matches_oracle(dist_records(dist, n, rec), rec);
+}
+
+TEST(Kernels, SortSkewedTopDigitRecursesMsd) {
+  // Half the keys share a zero top byte, so after the first MSD split one
+  // bucket is still far above the cache bound and splits again.
+  util::Xoshiro256 rng(21);
+  std::vector<std::uint64_t> keys(std::size_t{512} << 10);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = i % 2 ? rng.next() : rng.next() >> 8;
+  }
+  for (std::uint32_t rec : {16u, 64u}) {
+    expect_sort_matches_oracle(make_records(keys, rec), rec);
+  }
+}
+
+TEST(Kernels, SortUnalignedSpansMatchAligned) {
+  // 16-byte records normally sort in place as (key, uid) pairs; spans
+  // that are not 8-byte aligned take the key-index path instead.
+  auto aligned = dist_records(Distribution::kPoisson, 3000, 16);
+  const std::size_t bytes = aligned.size();
+  std::vector<std::byte> storage(bytes + 8), scratch(bytes + 8);
+  std::byte* shifted = storage.data() + 4;
+  std::memcpy(shifted, aligned.data(), bytes);
+  sort_records({shifted, bytes}, 16, {scratch.data() + 4, bytes});
+  std::vector<std::byte> aligned_scratch(bytes);
+  sort_records(aligned, 16, aligned_scratch);
+  EXPECT_EQ(std::memcmp(shifted, aligned.data(), bytes), 0);
+}
+
+using PartitionOracleParams =
+    std::tuple<Distribution, std::uint32_t, std::size_t>;
+class PartitionMatchesOracle
+    : public ::testing::TestWithParam<PartitionOracleParams> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllInputs, PartitionMatchesOracle,
+    ::testing::Combine(::testing::ValuesIn(kAllDistributions),
+                       ::testing::Values(16u, 24u, 64u),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{3}, std::size_t{15},
+                                         std::size_t{40}, std::size_t{300})),
+    [](const ::testing::TestParamInfo<PartitionOracleParams>& info) {
+      return short_name(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param)) + "B_s" +
+             std::to_string(std::get<2>(info.param));
+    });
+
+TEST_P(PartitionMatchesOracle, ByteIdentical) {
+  const auto [dist, rec, m] = GetParam();
+  constexpr std::size_t kRecords = 20000;
+  const auto data = dist_records(dist, kRecords, rec);
+  // Splitters are extended keys of records in the input, so records equal
+  // to a splitter's key (and to the splitter itself) take the tie path.
+  auto sorted = data;
+  std::vector<std::byte> scratch(data.size());
+  sort_records(sorted, rec, scratch);
+  std::vector<ExtKey> splitters;
+  for (std::size_t j = 1; j <= m; ++j) {
+    splitters.push_back(
+        ext_key_of(sorted.data() + (j * kRecords / (m + 1)) * rec));
+  }
+  std::vector<std::byte> out(data.size()), expect(data.size());
+  const auto counts = partition_records(data, rec, splitters, out);
+  const auto expect_counts =
+      oracle::partition_records(data, rec, splitters, expect);
+  EXPECT_EQ(counts, expect_counts);
+  EXPECT_EQ(first_mismatch(out, expect, rec), -1);
+  for (std::size_t i = 0; i < kRecords; i += 97) {
+    const ExtKey k = ext_key_of(data.data() + i * rec);
+    ASSERT_EQ(partition_of(k, splitters), oracle::partition_of(k, splitters));
+  }
 }
 
 TEST(Record, KeyUidAccessors) {

@@ -308,6 +308,16 @@ grep -q '"executor":"tasks"' "$ex_dir/stats.json"
 rm -rf "$ex_dir"
 echo "==> wrote BENCH_queue_hop.json (spsc beats mpmc; tasks smoke ok)"
 
+# Kernel gate: the radix sort_records and branch-free partition_records
+# must beat the std::sort and lower_bound oracles they replaced, at the
+# shapes dsort and csort call them with (16 B x 16 Ki and 512 Ki records,
+# 64 B x 4 Ki).  Each run appends one JSON line (git rev, nproc, rates).
+echo "==> kernel bench gate (radix/branch-free vs oracles)"
+"$root/build-ci-release/bench/bench_kernels" \
+  --gate="$root/BENCH_kernels.json" \
+  --rev="$(git -C "$root" describe --always --dirty 2>/dev/null || echo unknown)"
+echo "==> appended to BENCH_kernels.json (new kernels beat their oracles)"
+
 # Serving gate: bring up a real fgserve, drive it with the closed-loop
 # load generator twice — a clean pass (every job must complete and
 # byte-verify; its numbers become BENCH_serve.json) and a chaos pass
